@@ -322,14 +322,13 @@ func BenchmarkExpParscale(b *testing.B)    { experimentBenchmark(b, "parscale") 
 func BenchmarkExpOverload(b *testing.B)    { experimentBenchmark(b, "overload") }
 
 // BenchmarkBatchStage measures single-stage record throughput of a
-// LinearScore stage across batch sizes, in three dispatch modes:
+// LinearScore stage across batch sizes, in two modes:
 //
-//   - batched:     one RunStageBatch event, native BatchKernel (weights
-//     loaded once, record loop innermost)
-//   - fallback:    one RunStageBatch event, per-record Kernel.Run (what
-//     non-batch-aware kernels get — overheads still amortized)
-//   - per-record:  one RunStage call per record: the pre-batch scheduler
-//     behavior, paying timing reads and metric updates per record
+//   - batched:     one RunStageBatch event over the whole batch (timing,
+//     metrics and the recover barrier paid once per event)
+//   - per-record:  one 1-row RunStageBatch event per record: the
+//     request-response cost model, paying timing reads and metric
+//     updates per record
 //
 // One iteration = one stage event over the whole batch; rec/s is the
 // record throughput. This is the microbench behind the batchsweep
@@ -348,9 +347,9 @@ func BenchmarkBatchStage(b *testing.B) {
 		Ops:  []ops.Op{&ops.LinearPredictor{Model: model}},
 	}
 	for _, batch := range []int{1, 8, 64, 256} {
-		for _, mode := range []string{"batched", "fallback", "per-record"} {
+		for _, mode := range []string{"batched", "per-record"} {
 			b.Run(fmt.Sprintf("batch=%d/%s", batch, mode), func(b *testing.B) {
-				ec := &plan.Exec{Pool: vector.NewPool(), DisableBatchKernels: mode == "fallback"}
+				ec := &plan.Exec{Pool: vector.NewPool()}
 				insRows := make([][]*vector.Vector, batch)
 				outs := make([]*vector.Vector, batch)
 				for r := 0; r < batch; r++ {
@@ -368,7 +367,7 @@ func BenchmarkBatchStage(b *testing.B) {
 				if mode == "per-record" {
 					for i := 0; i < b.N; i++ {
 						for r := 0; r < batch; r++ {
-							if err := plan.RunStage(st, ec, insRows[r], outs[r]); err != nil {
+							if err := plan.RunStageBatch(st, ec, insRows[r:r+1], outs[r:r+1], nil); err != nil {
 								b.Fatal(err)
 							}
 						}

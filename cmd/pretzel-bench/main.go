@@ -1,7 +1,7 @@
 // Command pretzel-bench regenerates the tables and figures of the
 // PRETZEL paper's evaluation (§5). Each experiment prints the same rows
-// or series the paper reports; see DESIGN.md §3 for the index and
-// EXPERIMENTS.md for recorded results.
+// or series the paper reports; `pretzel-bench -list` prints the index
+// and the README's "Paper experiments" section describes the setup.
 //
 // Usage:
 //

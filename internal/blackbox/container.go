@@ -13,7 +13,7 @@ import (
 // calibrated from Fig. 8, where ML.Net + Clipper uses ≈2.5× the memory of
 // plain ML.Net for the (small) AC models: (10GB − 4GB) / 250 ≈ 24MiB per
 // container. This is the single synthetic constant in the baselines; see
-// DESIGN.md §1.
+// the README's "Paper experiments" section.
 const ContainerBallastBytes = 24 << 20
 
 // rpcRequest is the serialized request crossing the container boundary.

@@ -11,8 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"pretzel/internal/ml"
+	"pretzel/internal/ops"
 	"pretzel/internal/oven"
+	"pretzel/internal/pipeline"
 	"pretzel/internal/runtime"
+	"pretzel/internal/schema"
+	"pretzel/internal/serving"
 	"pretzel/internal/store"
 )
 
@@ -173,6 +178,36 @@ func TestUploadRejectsGarbage(t *testing.T) {
 	}
 	if resp, _ = do(t, http.MethodPost, srv.URL+"/models?version=1", zip); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate upload code=%d", resp.StatusCode)
+	}
+}
+
+// TestUploadRejectsCyclicTree: a model zip whose forest has a tree
+// whose root's children point back at the root (scoring would spin
+// forever) is refused at decode time as a bad model: HTTP 400.
+func TestUploadRejectsCyclicTree(t *testing.T) {
+	_, srv := emptyServer(t)
+	cyclic := &ml.Forest{Trees: []*ml.Tree{{
+		Nodes:  []ml.TreeNode{{Feature: 0, Left: 0, Right: 0}},
+		Leaves: 1,
+	}}}
+	p := &pipeline.Pipeline{
+		Name:        "cyclic",
+		InputSchema: schema.Text("Line"),
+		Nodes: []pipeline.Node{
+			{Op: &ops.ParseFloats{Sep: ',', Dim: 2}, Inputs: []int{pipeline.InputID}},
+			{Op: &ops.ForestPredictor{Model: cyclic}, Inputs: []int{0}},
+		},
+	}
+	zip, err := p.ExportBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := do(t, http.MethodPost, srv.URL+"/models", zip)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cyclic tree upload code=%d body=%s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte(serving.ErrBadModel.Error())) {
+		t.Fatalf("body %s does not carry %v", body, serving.ErrBadModel)
 	}
 }
 

@@ -304,6 +304,62 @@ func TestForestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadForestRejectsMalformedTrees: decode-time validation refuses
+// every tree whose links could make scoring loop forever or index out
+// of range, and still accepts every trained forest.
+func TestReadForestRejectsMalformedTrees(t *testing.T) {
+	leaf := func(ord int32) TreeNode { return TreeNode{Feature: -1, Left: ord} }
+	split := func(l, r int32) TreeNode { return TreeNode{Feature: 0, Left: l, Right: r} }
+	for _, tc := range []struct {
+		name string
+		tree Tree
+	}{
+		{"no nodes", Tree{}},
+		{"root children point at root", Tree{Nodes: []TreeNode{split(0, 0)}, Leaves: 1}},
+		{"child points backward", Tree{Nodes: []TreeNode{split(1, 2), split(0, 2), leaf(0)}, Leaves: 1}},
+		{"child past the end", Tree{Nodes: []TreeNode{split(1, 3), leaf(0), leaf(1)}, Leaves: 2}},
+		{"negative child", Tree{Nodes: []TreeNode{split(1, -1), leaf(0)}, Leaves: 1}},
+		{"leaf ordinal past Leaves", Tree{Nodes: []TreeNode{split(1, 2), leaf(0), leaf(2)}, Leaves: 2}},
+		{"negative leaf ordinal", Tree{Nodes: []TreeNode{leaf(-1)}, Leaves: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			tree := tc.tree
+			if _, err := (&Forest{Trees: []*Tree{&tree}}).WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := ReadForest(&buf); err == nil {
+				t.Fatalf("malformed tree decoded: %+v", f.Trees[0])
+			}
+		})
+	}
+	// A hand-built valid tree and deep trained forests still decode.
+	var buf bytes.Buffer
+	ok := &Forest{Trees: []*Tree{{Nodes: []TreeNode{split(1, 2), leaf(0), leaf(1)}, Leaves: 2}}}
+	if _, err := ok.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadForest(&buf); err != nil {
+		t.Fatalf("valid tree rejected: %v", err)
+	}
+	xs, ys := denseXY(400, 4, 11, func(x []float32) float32 { return x[0]*x[1] - x[2] })
+	forest, err := TrainForest(xs, ys, ForestOptions{NumTrees: 5, Tree: TreeOptions{MaxDepth: 8, MinLeaf: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := forest.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadForest(&buf)
+	if err != nil {
+		t.Fatalf("trained forest rejected: %v", err)
+	}
+	if got.Checksum() != forest.Checksum() {
+		t.Fatal("checksum changed over round trip")
+	}
+}
+
 // --- kmeans ---
 
 func TestKMeansSeparatesClusters(t *testing.T) {

@@ -340,7 +340,28 @@ func (f *Forest) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadForest deserializes a forest written by WriteTo.
+// validate checks a decoded tree's links so scoring always terminates
+// in bounds: every split node's children lie strictly after it (the
+// trainer writes nodes pre-order, so a path only moves forward and no
+// cycle can form) and every leaf's ordinal indexes [0, Leaves).
+func (t *Tree) validate() error {
+	nn := int32(len(t.Nodes))
+	for i, n := range t.Nodes {
+		if n.Feature < 0 {
+			if n.Left < 0 || n.Left >= t.Leaves {
+				return fmt.Errorf("leaf %d ordinal %d outside [0, %d)", i, n.Left, t.Leaves)
+			}
+			continue
+		}
+		if n.Left <= int32(i) || n.Left >= nn || n.Right <= int32(i) || n.Right >= nn {
+			return fmt.Errorf("split node %d children (%d, %d) outside (%d, %d)", i, n.Left, n.Right, i, nn)
+		}
+	}
+	return nil
+}
+
+// ReadForest deserializes a forest written by WriteTo, rejecting trees
+// whose node links could make scoring loop or index out of range.
 func ReadForest(r io.Reader) (*Forest, error) {
 	var cnt [4]byte
 	if _, err := io.ReadFull(r, cnt[:]); err != nil {
@@ -357,8 +378,8 @@ func ReadForest(r io.Reader) (*Forest, error) {
 			return nil, fmt.Errorf("ml: tree %d header: %w", ti, err)
 		}
 		nn := binary.LittleEndian.Uint32(hdr[0:])
-		if nn > 1<<24 {
-			return nil, fmt.Errorf("ml: implausible node count %d", nn)
+		if nn == 0 || nn > 1<<24 {
+			return nil, fmt.Errorf("ml: tree %d: implausible node count %d", ti, nn)
 		}
 		t := &Tree{Leaves: int32(binary.LittleEndian.Uint32(hdr[4:]))}
 		buf := make([]byte, 20*nn)
@@ -374,6 +395,9 @@ func ReadForest(r io.Reader) (*Forest, error) {
 				Right:     int32(binary.LittleEndian.Uint32(buf[20*i+12:])),
 				Value:     math.Float32frombits(binary.LittleEndian.Uint32(buf[20*i+16:])),
 			}
+		}
+		if err := t.validate(); err != nil {
+			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
 		}
 		f.Trees = append(f.Trees, t)
 	}

@@ -62,51 +62,62 @@ func runPlanBatched(t *testing.T, p *Plan, ec *Exec, ins, outs []*vector.Vector)
 	return accs
 }
 
-// TestRunStageBatchEquivalence: batched execution (native kernels AND
-// the per-record fallback) must produce bit-identical outputs and
-// accumulator values to the per-record reference executor.
+// referenceRun evaluates pl on every input through the RunReference
+// oracle, returning each record's output and final accumulator value.
+func referenceRun(t *testing.T, pl *Plan, ins []*vector.Vector) ([]*vector.Vector, []float32) {
+	t.Helper()
+	outs := make([]*vector.Vector, len(ins))
+	accs := make([]float32, len(ins))
+	for r := range ins {
+		outs[r] = vector.New(0)
+		acc, err := RunReference(pl, ins[r], outs[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs[r] = acc
+	}
+	return outs, accs
+}
+
+// TestRunStageBatchEquivalence: batched execution and the
+// request-response RunPlan must produce bit-identical outputs and
+// accumulator values to the per-record reference oracle.
 func TestRunStageBatchEquivalence(t *testing.T) {
 	const nRec = 9
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"per-record-fallback", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			pl := saMiniPlan(t)
-			ins := batchInputs(nRec)
-			// Per-record reference through RunPlan, including the head
-			// stage's accumulator value per record.
-			ref := &Exec{Pool: vector.NewPool()}
-			wantOuts := make([]*vector.Vector, nRec)
-			wantAccs := make([]float32, nRec)
-			for r := range ins {
-				wantOuts[r] = vector.New(0)
-				if err := RunPlan(pl, ref, ins[r], wantOuts[r]); err != nil {
-					t.Fatal(err)
-				}
-				head := vector.New(0)
-				ref.Reset()
-				if err := pl.Stages[0].Kernel().Run(ref, []*vector.Vector{ins[r]}, head); err != nil {
-					t.Fatal(err)
-				}
-				wantAccs[r] = ref.Acc
+	pl := saMiniPlan(t)
+	ins := batchInputs(nRec)
+	wantOuts, wantAccs := referenceRun(t, pl, ins)
+	t.Run("request-response", func(t *testing.T) {
+		rr := &Exec{Pool: vector.NewPool()}
+		for r := range ins {
+			got := vector.New(0)
+			if err := RunPlan(pl, rr, ins[r], got); err != nil {
+				t.Fatal(err)
 			}
-			ec := &Exec{Pool: vector.NewPool(), DisableBatchKernels: mode.disable}
-			gotOuts := make([]*vector.Vector, nRec)
-			for r := range gotOuts {
-				gotOuts[r] = vector.New(0)
+			if !got.Equal(wantOuts[r]) {
+				t.Fatalf("record %d: RunPlan %v != reference %v", r, got, wantOuts[r])
 			}
-			gotAccs := runPlanBatched(t, pl, ec, ins, gotOuts)
-			for r := range ins {
-				if !gotOuts[r].Equal(wantOuts[r]) {
-					t.Fatalf("record %d: batched %v != per-record %v", r, gotOuts[r], wantOuts[r])
-				}
-				if gotAccs[r] != wantAccs[r] {
-					t.Fatalf("record %d: batched acc %v != per-record acc %v", r, gotAccs[r], wantAccs[r])
-				}
+			if rr.Acc != wantAccs[r] {
+				t.Fatalf("record %d: RunPlan acc %v != reference acc %v", r, rr.Acc, wantAccs[r])
 			}
-		})
-	}
+		}
+	})
+	t.Run("batched", func(t *testing.T) {
+		ec := &Exec{Pool: vector.NewPool()}
+		gotOuts := make([]*vector.Vector, nRec)
+		for r := range gotOuts {
+			gotOuts[r] = vector.New(0)
+		}
+		gotAccs := runPlanBatched(t, pl, ec, ins, gotOuts)
+		for r := range ins {
+			if !gotOuts[r].Equal(wantOuts[r]) {
+				t.Fatalf("record %d: batched %v != reference %v", r, gotOuts[r], wantOuts[r])
+			}
+			if gotAccs[r] != wantAccs[r] {
+				t.Fatalf("record %d: batched acc %v != reference acc %v", r, gotAccs[r], wantAccs[r])
+			}
+		}
+	})
 }
 
 // TestRunStageBatchCounters: a batched stage event is ONE execution in

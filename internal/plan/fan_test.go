@@ -51,21 +51,27 @@ func (f *goroutineFan) Fan(n int, run func(lo, hi int, ec *Exec) error) error {
 	return first
 }
 
-// TestRunStageBatchFannedEquivalence: a fanned batch must produce
-// bit-identical outputs and accumulator values to the sequential batch
-// path (which is itself bit-identical to per-record execution), and
-// per-stage counters must still count one execution per stage event.
+// TestRunStageBatchFannedEquivalence: a fanned batch and the
+// sequential batch path must both produce bit-identical outputs and
+// accumulator values to the per-record reference oracle, and per-stage
+// counters must still count one execution per stage event.
 func TestRunStageBatchFannedEquivalence(t *testing.T) {
 	const nRec = 100
 	ins := batchInputs(nRec)
+	wantOuts, wantAccs := referenceRun(t, saMiniPlan(t), ins)
 
 	seqPl := saMiniPlan(t)
 	seq := &Exec{Pool: vector.NewPool()}
-	wantOuts := make([]*vector.Vector, nRec)
-	for r := range wantOuts {
-		wantOuts[r] = vector.New(0)
+	seqOuts := make([]*vector.Vector, nRec)
+	for r := range seqOuts {
+		seqOuts[r] = vector.New(0)
 	}
-	wantAccs := runPlanBatched(t, seqPl, seq, ins, wantOuts)
+	seqAccs := runPlanBatched(t, seqPl, seq, ins, seqOuts)
+	for r := range ins {
+		if !seqOuts[r].Equal(wantOuts[r]) || seqAccs[r] != wantAccs[r] {
+			t.Fatalf("record %d: sequential %v (acc %v) != reference %v (acc %v)", r, seqOuts[r], seqAccs[r], wantOuts[r], wantAccs[r])
+		}
+	}
 
 	fanPl := saMiniPlan(t)
 	fan := &goroutineFan{grain: 8}
@@ -81,10 +87,10 @@ func TestRunStageBatchFannedEquivalence(t *testing.T) {
 	}
 	for r := range ins {
 		if !gotOuts[r].Equal(wantOuts[r]) {
-			t.Fatalf("record %d: fanned %v != sequential %v", r, gotOuts[r], wantOuts[r])
+			t.Fatalf("record %d: fanned %v != reference %v", r, gotOuts[r], wantOuts[r])
 		}
 		if gotAccs[r] != wantAccs[r] {
-			t.Fatalf("record %d: fanned acc %v != sequential acc %v", r, gotAccs[r], wantAccs[r])
+			t.Fatalf("record %d: fanned acc %v != reference acc %v", r, gotAccs[r], wantAccs[r])
 		}
 	}
 	for i, s := range fanPl.Stages {
@@ -109,7 +115,7 @@ func TestRunStageBatchFannedMaterialization(t *testing.T) {
 		Word:    text.WordNgramConfig{MaxN: 1, Dict: wd},
 		CharDim: cd.Size(),
 	}
-	st := &Stage{ID: 7, Kern: fk, Materializable: true, Ops: []ops.Op{&ops.Tokenizer{}}}
+	st := &Stage{ID: 7, Kern: fk, Materializable: true, Ops: []ops.Op{&ops.Tokenizer{}}, Inputs: []int{InputID}}
 	cache := store.NewMatCache(1 << 20)
 	ec := &Exec{Pool: vector.NewPool(), Cache: cache, Fan: &goroutineFan{grain: 8}}
 
@@ -142,7 +148,11 @@ func TestRunStageBatchFannedMaterialization(t *testing.T) {
 	if hits := st.Stats().CacheHits - firstHits; hits != nRec {
 		t.Fatalf("repeat-event cache hits=%d, want %d (aggregated across subtasks)", hits, nRec)
 	}
+	wantOuts, _ := referenceRun(t, &Plan{Name: "featurize", Stages: []*Stage{st}}, ins)
 	for r := range outs {
+		if !outs[r].Equal(wantOuts[r]) {
+			t.Fatalf("record %d: fanned result %v != reference %v", r, outs[r], wantOuts[r])
+		}
 		if !outs2[r].Equal(outs[r]) {
 			t.Fatalf("record %d: cache-served fanned result diverged", r)
 		}

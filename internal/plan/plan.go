@@ -58,11 +58,6 @@ type Exec struct {
 	// deadline enforcement costs no context allocation on the hot path).
 	DeadlineNS int64
 
-	// DisableBatchKernels forces RunStageBatch onto the per-record
-	// fallback even for kernels that implement BatchKernel (the
-	// batchsweep ablation baseline).
-	DisableBatchKernels bool
-
 	// Fan, when non-nil, lets RunStageBatch split a large batch into
 	// contiguous row-range subtasks run concurrently on the executor
 	// pool (data-parallel batch execution). Set once per executor by the
@@ -83,12 +78,15 @@ type Exec struct {
 	TokBuf  []byte
 	WStream text.WordNgramStream
 	outTab  []*vector.Vector
-	insTab  []*vector.Vector
 	scratch [2]*vector.Vector
 
-	// Batch-path scratch reused across stage events (RunStageBatch):
-	// the per-record input rows handed to batch kernels and the
-	// materialization-cache probe state.
+	// RunPlan's one-row output and accumulator slots, handed to
+	// RunStageBatch without allocating.
+	out1 [1]*vector.Vector
+	acc1 [1]float32
+
+	// Stage-event scratch reused across RunStageBatch calls: the
+	// per-record input rows and the materialization-cache probe state.
 	insRows  [][]*vector.Vector
 	insFlat  []*vector.Vector
 	hashes   []uint64
@@ -97,20 +95,6 @@ type Exec struct {
 	missOuts []*vector.Vector
 	missAccs []float32
 }
-
-// InsBuf returns the context's reusable stage-input buffer, emptied.
-// Passing a context-owned slice through the Kernel interface keeps the
-// hot path allocation-free (a stack buffer would escape at the
-// interface call).
-func (e *Exec) InsBuf() []*vector.Vector {
-	if e.insTab == nil {
-		e.insTab = make([]*vector.Vector, 0, 4)
-	}
-	return e.insTab[:0]
-}
-
-// SetInsBuf hands a (possibly grown) input buffer back to the context.
-func (e *Exec) SetInsBuf(b []*vector.Vector) { e.insTab = b }
 
 // InsRows returns the context's reusable batch input table: n rows of k
 // input slots each, backed by one flat executor-owned array. Building a
@@ -146,7 +130,7 @@ func (e *Exec) ScratchPair() (*vector.Vector, *vector.Vector) {
 const minScratchShift = 6
 
 // Reset prepares the context for a fresh prediction.
-func (e *Exec) Reset() { e.Acc = 0 }
+func (e *Exec) Reset() { e.Acc, e.acc1[0] = 0, 0 }
 
 // Cancelled reports why the in-flight request must stop: the context
 // error when Ctx is cancelled or expired, context.DeadlineExceeded when
@@ -235,16 +219,16 @@ type Stage struct {
 
 // stageMetrics is the lock-free counter block of one stage.
 type stageMetrics struct {
-	execs     atomic.Uint64 // stage executions (a batched stage event counts once)
+	execs     atomic.Uint64 // stage events (a whole record row counts once)
 	records   atomic.Uint64 // records processed across executions
 	errs      atomic.Uint64 // executions that returned an error
-	cacheHits atomic.Uint64 // per-record materialization-cache hits (no kernel run)
+	cacheHits atomic.Uint64 // records served from the materialization cache (no kernel run)
 	nanos     atomic.Uint64 // cumulative wall time across executions
 }
 
 // StageStats is a white-box snapshot of one stage's execution counters.
 type StageStats struct {
-	Execs      uint64 // stage executions: one per record (request-response) or per batch event
+	Execs      uint64 // stage events: one per RunStageBatch call (a request is a one-row event)
 	Records    uint64 // records processed, including cache-served ones
 	Errs       uint64 // executions that failed
 	CacheHits  uint64 // records served from the materialization cache

@@ -203,6 +203,8 @@ func TestGenericKernelChain(t *testing.T) {
 	}
 }
 
+// TestRunStageMaterialization: the request path (RunPlan) shares the
+// batched cache protocol, so a repeated input is served from the cache.
 func TestRunStageMaterialization(t *testing.T) {
 	cd, wd := saDicts(t)
 	fk := &FeaturizeKernel{
@@ -210,21 +212,22 @@ func TestRunStageMaterialization(t *testing.T) {
 		Word:    text.WordNgramConfig{MaxN: 1, Dict: wd},
 		CharDim: cd.Size(),
 	}
-	st := &Stage{ID: 42, Kern: fk, Materializable: true, Ops: []ops.Op{&ops.Tokenizer{}}}
+	st := &Stage{ID: 42, Kern: fk, Materializable: true, Ops: []ops.Op{&ops.Tokenizer{}}, Inputs: []int{InputID}}
 	cache := store.NewMatCache(1 << 20)
 	ec := &Exec{Pool: vector.NewPool(), Cache: cache}
+	pl := &Plan{Name: "featurize", Stages: []*Stage{st}}
 	in, out1, out2 := vector.New(0), vector.New(0), vector.New(0)
 	in.SetText("nice product")
-	if err := RunStage(st, ec, []*vector.Vector{in}, out1); err != nil {
+	if err := RunPlan(pl, ec, in, out1); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Stats().Entries != 1 {
 		t.Fatal("result not cached")
 	}
-	if err := RunStage(st, ec, []*vector.Vector{in}, out2); err != nil {
+	if err := RunPlan(pl, ec, in, out2); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Stats().Hits != 1 {
+	if cache.Stats().Hits != 1 || st.Stats().CacheHits != 1 {
 		t.Fatal("second run must hit")
 	}
 	if !out1.Equal(out2) {
@@ -307,10 +310,15 @@ func TestRunPlanSteadyStateAllocs(t *testing.T) {
 }
 
 // saMiniPlan builds a two-stage head/tail plan for plan-level tests.
+// Every weight is distinct and non-zero, so outputs and accumulators
+// differ per record and equivalence checks compare real values.
 func saMiniPlan(t testing.TB) *Plan {
 	t.Helper()
 	cd, wd := saDicts(t)
 	wts := make([]float32, cd.Size()+wd.Size())
+	for i := range wts {
+		wts[i] = float32(i%7)*0.125 - 0.3
+	}
 	head := &SAHeadKernel{
 		Char:     text.CharNgramConfig{MinN: 2, MaxN: 3, Dict: cd},
 		Weights:  wts[:cd.Size()],
@@ -343,8 +351,8 @@ func TestStageStatsRecorded(t *testing.T) {
 	}
 	for i, s := range pl.Stages {
 		st := s.Stats()
-		if st.Execs != 3 {
-			t.Fatalf("stage %d execs = %d", i, st.Execs)
+		if st.Execs != 3 || st.Records != 3 {
+			t.Fatalf("stage %d execs = %d, records = %d", i, st.Execs, st.Records)
 		}
 		if st.TotalNanos == 0 || st.AvgNanos() == 0 {
 			t.Fatalf("stage %d recorded no latency: %+v", i, st)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pretzel/internal/oven"
+	"pretzel/internal/plan"
 	"pretzel/internal/vector"
 	"pretzel/internal/workload"
 )
@@ -40,16 +41,29 @@ func examplePlans(t *testing.T, cfg Config, opts oven.Options) (*Runtime, []stri
 }
 
 // TestBatchedMatchesPerRecordAllExamplePlans: batched execution through
-// the scheduler (native batch kernels, sharded MatCache enabled) must
-// be bit-identical to the per-record request-response engine across
-// every example plan. Run with -race this is also the concurrency check
-// on the batched cache protocol.
+// the scheduler and the request-response engine (sharded MatCache
+// enabled on both) must be bit-identical to the per-record reference
+// oracle across every example plan. Run with -race this is also the
+// concurrency check on the batched cache protocol.
 func TestBatchedMatchesPerRecordAllExamplePlans(t *testing.T) {
-	rt, names, inputs := examplePlans(t,
-		Config{Executors: 4, MatCacheBytes: 32 << 20},
-		oven.Options{AOT: true, Materialization: true})
+	// The default options compile SA plans into the accumulator-passing
+	// head/tail kernels; materialization into the cacheable featurize
+	// flavor.
+	for _, materialize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("materialize=%v", materialize), func(t *testing.T) {
+			batchedMatchesReference(t, oven.Options{AOT: true, Materialization: materialize})
+		})
+	}
+}
+
+func batchedMatchesReference(t *testing.T, opts oven.Options) {
+	rt, names, inputs := examplePlans(t, Config{Executors: 4, MatCacheBytes: 32 << 20}, opts)
 	const repeat = 3 // repeats exercise the cache-hit path of the batch
 	for _, name := range names {
+		pl, err := rt.LookupPlan(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ins := make([]*vector.Vector, 0, len(inputs)*repeat)
 		outs := make([]*vector.Vector, 0, len(inputs)*repeat)
 		wants := make([]*vector.Vector, 0, len(inputs)*repeat)
@@ -58,10 +72,17 @@ func TestBatchedMatchesPerRecordAllExamplePlans(t *testing.T) {
 				in := vector.New(0)
 				in.SetText(doc)
 				want := vector.New(0)
-				if err := rt.Predict(name, in, want); err != nil {
+				if _, err := plan.RunReference(pl, in, want); err != nil {
 					// AC inputs against SA plans (and vice versa) fail on
 					// input kind; equivalence only covers valid pairs.
 					continue
+				}
+				got := vector.New(0)
+				if err := rt.Predict(name, in, got); err != nil {
+					t.Fatalf("plan %s: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("plan %s: per-record %v != reference %v", name, got, want)
 				}
 				ins = append(ins, in)
 				outs = append(outs, vector.New(0))
@@ -76,11 +97,11 @@ func TestBatchedMatchesPerRecordAllExamplePlans(t *testing.T) {
 		}
 		for i := range outs {
 			if !outs[i].Equal(wants[i]) {
-				t.Fatalf("plan %s record %d: batched %v != per-record %v", name, i, outs[i], wants[i])
+				t.Fatalf("plan %s record %d: batched %v != reference %v", name, i, outs[i], wants[i])
 			}
 		}
 	}
-	if st := rt.MatCacheStats(); st.Hits == 0 {
+	if st := rt.MatCacheStats(); opts.Materialization && st.Hits == 0 {
 		t.Fatalf("repeated batches never hit the materialization cache: %+v", st)
 	}
 }

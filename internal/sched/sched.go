@@ -419,9 +419,6 @@ type Config struct {
 	VectorsPerExecutor int
 	// VectorCapHint sizes preallocated vectors.
 	VectorCapHint int
-	// DisableBatchKernels forces every stage event onto the per-record
-	// kernel fallback (the batchsweep ablation baseline).
-	DisableBatchKernels bool
 	// BatchGrain is the row count above which a stage event fans out
 	// into row-range subtasks across idle executors (and the size of
 	// each range). Default 32.
@@ -700,7 +697,7 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) executor(qs *queueSet, idx int, pool *vector.Pool) {
 	defer s.wg.Done()
 	c := s.newExecutorCounters()
-	ec := &plan.Exec{Pool: pool, Shard: pool.ShardHint(), DisableBatchKernels: s.cfg.DisableBatchKernels}
+	ec := &plan.Exec{Pool: pool, Shard: pool.ShardHint()}
 	if !s.cfg.DisableParallelBatch {
 		ec.Fan = &fanout{s: s, qs: qs, idx: idx, ec: ec, grain: s.cfg.BatchGrain, counters: c}
 	}
@@ -724,12 +721,13 @@ func (s *Scheduler) executor(qs *queueSet, idx int, pool *vector.Pool) {
 
 // exec runs one stage event — all records of the job through ONE
 // RunStageBatch invocation (one timing read, one metrics update, one
-// batched cache probe) — then unblocks its consumers (even on failure,
-// so skipped stages still drain and the job completes). ec is the
-// executor-owned context; the per-record pushdown accumulator row is
-// handed to the batch as a whole for accumulator-using stages (which
-// the compiler only emits in linear chains, so the handoff never races
-// with a concurrent sibling stage).
+// batched cache probe, then the kernel's Run once per record) — then
+// unblocks its consumers (even on failure, so skipped stages still
+// drain and the job completes). ec is the executor-owned context; the
+// job's per-record pushdown accumulator row is handed to the event as
+// a whole for accumulator-using stages (which the compiler only emits
+// in linear chains, so the handoff never races with a concurrent
+// sibling stage).
 func (s *Scheduler) exec(ev event, ec *plan.Exec, qs *queueSet, idx int) {
 	j := ev.job
 	// Drop expired jobs before stage dispatch: a cancelled or

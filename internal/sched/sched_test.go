@@ -33,6 +33,11 @@ func saPlan(t testing.TB, name string) *plan.Plan {
 	}
 	cd, wd := cb.Build(0), wb.Build(0)
 	weights := make([]float32, cd.Size()+wd.Size())
+	// Small non-positive char-block weights make the head stage's
+	// pushed-down partial margin non-zero without flipping any label.
+	for i := 0; i < cd.Size(); i++ {
+		weights[i] = -0.01 * float32(i%3)
+	}
 	if ix := wd.Lookup("nice"); ix >= 0 {
 		weights[cd.Size()+int(ix)] = 3
 	}
@@ -755,45 +760,43 @@ func TestBatchJobOneExecPerStageEvent(t *testing.T) {
 	}
 }
 
-// TestBatchJobMatchesPerRecordJobs: a batched job must produce exactly
-// the outputs of per-record jobs over the same inputs, in both kernel
-// dispatch modes (native BatchKernel and per-record fallback).
+// TestBatchJobMatchesPerRecordJobs: a batched job and per-record jobs
+// over the same inputs must all produce exactly the outputs of the
+// per-record reference oracle.
 func TestBatchJobMatchesPerRecordJobs(t *testing.T) {
 	pl := saPlan(t, "sa")
 	docs := []string{"a nice product", "bad refund awful", "nice nice", "product", "great nice thing"}
-	// Per-record reference.
-	ref := New(Config{Executors: 2})
-	defer ref.Close()
+	s := New(Config{Executors: 2})
+	defer s.Close()
+	ins := make([]*vector.Vector, len(docs))
+	outs := make([]*vector.Vector, len(docs))
 	wants := make([]*vector.Vector, len(docs))
 	for i, d := range docs {
-		in := vector.New(0)
-		in.SetText(d)
+		ins[i] = vector.New(0)
+		ins[i].SetText(d)
+		outs[i] = vector.New(0)
 		wants[i] = vector.New(0)
-		j := NewJob(pl, in, wants[i], nil)
-		ref.Submit(j)
-		if err := j.Wait(); err != nil {
+		if _, err := plan.RunReference(pl, ins[i], wants[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, disable := range []bool{false, true} {
-		s := New(Config{Executors: 2, DisableBatchKernels: disable})
-		ins := make([]*vector.Vector, len(docs))
-		outs := make([]*vector.Vector, len(docs))
-		for i, d := range docs {
-			ins[i] = vector.New(0)
-			ins[i].SetText(d)
-			outs[i] = vector.New(0)
-		}
-		j := NewBatchJob(pl, ins, outs, nil)
+		got := vector.New(0)
+		j := NewJob(pl, ins[i], got, nil)
 		s.Submit(j)
 		if err := j.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		for i := range outs {
-			if !outs[i].Equal(wants[i]) {
-				t.Fatalf("disable=%v record %d: batched %v != per-record %v", disable, i, outs[i], wants[i])
-			}
+		if !got.Equal(wants[i]) {
+			t.Fatalf("record %d: per-record job %v != reference %v", i, got, wants[i])
 		}
-		s.Close()
+	}
+	j := NewBatchJob(pl, ins, outs, nil)
+	s.Submit(j)
+	if err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range outs {
+		if !outs[i].Equal(wants[i]) {
+			t.Fatalf("record %d: batched %v != reference %v", i, outs[i], wants[i])
+		}
 	}
 }

@@ -111,9 +111,10 @@ func NewWordNgramStream(cfg *WordNgramConfig) *WordNgramStream {
 	return w
 }
 
-// Configure re-targets the stream at a new configuration, reusing the
-// token ring storage when possible (lets an executor keep one stream for
-// all plans it runs, allocation-free in steady state).
+// Configure re-targets the stream at a new configuration and starts a
+// new document, reusing the token ring storage when possible (lets an
+// executor keep one stream for all plans it runs, allocation-free in
+// steady state).
 func (w *WordNgramStream) Configure(cfg *WordNgramConfig) {
 	w.cfg = cfg
 	w.n = 0
@@ -126,9 +127,6 @@ func (w *WordNgramStream) Configure(cfg *WordNgramConfig) {
 	}
 	w.ring = w.ring[:need]
 }
-
-// Reset prepares the stream for a new document.
-func (w *WordNgramStream) Reset() { w.n = 0 }
 
 // Push consumes the next token (valid only during the call) and emits the
 // indices of every n-gram ending at this token.

@@ -264,7 +264,6 @@ func TestWordNgramStreamMatchesBatch(t *testing.T) {
 		var batch []int32
 		cfg.ExtractTokens(doc, nil, func(ix int32) { batch = append(batch, ix) })
 		stream := NewWordNgramStream(cfg)
-		stream.Reset()
 		var got []int32
 		for _, tok := range doc {
 			stream.Push([]byte(tok), func(ix int32) { got = append(got, ix) })
@@ -305,11 +304,11 @@ func TestWordNgramStreamReset(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("expected 1 bigram, got %d", count)
 	}
-	s.Reset()
+	s.Configure(cfg)
 	count = 0
 	s.Push([]byte("b"), func(int32) { count++ })
 	if count != 0 {
-		t.Fatal("Reset did not clear history: bigram 'a b' fired across documents")
+		t.Fatal("Configure did not clear history: bigram 'a b' fired across documents")
 	}
 }
 
